@@ -12,7 +12,9 @@ management — so the same binding code must run unchanged over any backend
   a collective engine, a communicator registry, ``require()``);
 - a **transport**: communicator states whose ``mailboxes[dest].deposit(env)``
   delivers envelopes to the destination rank and whose ``barrier`` supports
-  the non-blocking-barrier arrival protocol;
+  the non-blocking-barrier arrival protocol (a mailbox class sets
+  ``serializes_payload`` when ``deposit`` has copied the payload out by the
+  time it returns, which spares the sender its send-time snapshot);
 - **result marshalling** of per-rank values, virtual clocks, PMPI counters,
   and trace events back to the caller.
 

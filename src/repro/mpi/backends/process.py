@@ -1,7 +1,7 @@
 """One-OS-process-per-rank execution backend.
 
 Ranks are ``multiprocessing`` processes connected by per-pair duplex pipes;
-envelopes cross rank boundaries as pickled messages.  The entire binding
+envelopes cross rank boundaries as framed messages.  The entire binding
 stack — mailbox matching, the collective algorithms, non-blocking
 collectives, communicator split/dup, tracing, the virtual cost model — runs
 unchanged on top: each rank builds a *rank-local replica* of the machine
@@ -13,7 +13,23 @@ matching, clocks, and algorithms are byte-for-byte the same code, a
 wildcard-free program produces bit-identical results, virtual times, PMPI
 counters, and traces on both backends (``tests/backends/`` enforces this).
 
-Wire protocol (one pickled tuple per message, FIFO per pair):
+Wire protocol (one frame per message tuple, FIFO per pair).  A frame is a
+12-byte prefix — the header's length and how many arrays it names — then a
+pickle-protocol-5 *header* of the tuple, then the raw bytes of every plain
+``np.ndarray`` in it (any dtype without Python objects), in the order the
+header names them.  The header pickles each such array as an
+``_oob_array(dtype, shape, order)`` call; the sender writes the array's
+bytes straight from its memory with ``os.writev`` and the receiver's pump
+thread reads them straight into a freshly allocated array of that layout
+with ``os.readv`` (both POSIX calls).  A message without arrays is a single
+write, unpickled with plain ``pickle.loads``.  The whole header is pickled before the first
+byte is written, so a payload that cannot be pickled leaves the pair's
+stream untouched.  Because the bytes are on the wire before ``deposit``
+returns, a remote deposit needs no send-time snapshot
+(:attr:`_RemoteMailbox.serializes_payload`); the receiver still gets what
+the snapshot would have made: a writable array, C-ordered for an array
+payload, and with the C or Fortran order ``copy.deepcopy`` keeps for arrays
+nested in a container.  The tuples are:
 
 - ``("env", comm_id, source, tag, payload, nbytes, arrival_time, token)`` —
   a message envelope; ``token`` is non-``None`` for synchronous sends and is
@@ -49,15 +65,21 @@ spawn context, under which ``fn`` must be a module-level callable.
 
 from __future__ import annotations
 
+import functools
+import io
 import itertools
 import multiprocessing
 import os
 import pickle
+import struct
 import threading
 import traceback
 from collections import Counter
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.mpi.backends.base import Backend
 from repro.mpi.costmodel import Clock, CostModel
@@ -84,6 +106,137 @@ def unsupported(feature: str, what: str) -> str:
         f"{what} is not supported on the 'process' backend: it relies on "
         f"shared-process state ({feature}); run with backend='thread'"
     )
+
+
+# ---------------------------------------------------------------------------
+# framing: pickled header + out-of-band array bytes
+# ---------------------------------------------------------------------------
+
+#: frame prefix: byte length of the pickled header that follows it, and how
+#: many out-of-band arrays the header names (0: the frame is the header alone)
+_PREFIX = struct.Struct("<QI")
+#: most buffers one ``os.readv``/``os.writev`` call accepts (``IOV_MAX`` on
+#: Linux, macOS and the BSDs)
+_IOV_MAX = 1024
+
+
+def _oob_array(dtype, shape, order):
+    """Header stand-in for an array whose bytes follow the header.
+
+    Only :class:`_FrameUnpickler` can rebuild it: it resolves this name to
+    an allocator that also queues the new array for the bytes to land in.
+    """
+    raise pickle.UnpicklingError(
+        "out-of-band array outside a process-backend frame")
+
+
+def _reduce_array(arrays: list, top: Any, arr: np.ndarray):
+    """Header reduction of a plain array: its elements go to ``arrays``.
+
+    ``arrays`` collects, in header order, each array flattened in the order
+    it is delivered in (a view of its memory; a copy only when the array is
+    not contiguous in that order).  Delivered layouts match the send-time
+    snapshot: the envelope payload itself (``top``) arrives C-ordered like
+    ``ndarray.copy``; a nested array keeps its C or Fortran order like
+    ``copy.deepcopy``.  Arrays holding Python objects pickle in-band.
+    """
+    if arr.dtype.hasobject:
+        return arr.__reduce_ex__(5)
+    if arr is not top and not (arr.flags.c_contiguous
+                               or arr.flags.f_contiguous):
+        arr = arr.copy(order="K")  # the layout deepcopy gives a view
+    order = ("F" if arr is not top and arr.flags.f_contiguous
+             and not arr.flags.c_contiguous else "C")
+    arrays.append(arr.ravel(order))
+    return _oob_array, (arr.dtype, arr.shape, order)
+
+
+def _allocate(buffers: list, dtype, shape, order) -> np.ndarray:
+    arr = np.empty(shape, dtype, order)
+    if arr.nbytes:
+        buffers.append(arr.ravel(order).view(np.uint8))
+    return arr
+
+
+class _FrameUnpickler(pickle.Unpickler):
+    """Unpickles a header, allocating each out-of-band array it names.
+
+    ``buffers`` holds a writable byte view of every allocated array, in
+    header order, for the frame's trailing bytes to be read into.
+    """
+
+    def __init__(self, header: bytes):
+        super().__init__(io.BytesIO(header))
+        self.buffers: list[np.ndarray] = []
+
+    def find_class(self, module: str, name: str):
+        if module == __name__ and name == "_oob_array":
+            # not a bound method: the memo keeps the result, and a bound
+            # method would hold the arrays in a cycle until the next gc
+            return functools.partial(_allocate, self.buffers)
+        return super().find_class(module, name)
+
+
+def _encode(msg: tuple) -> list:
+    """Pickle ``msg`` into the buffers of one frame, ready to write.
+
+    Everything that can fail is done here, before any byte is written.
+    Plain arrays reduce through the pickler's own ``dispatch_table`` copy
+    (exact type only: subclasses pickle in-band).
+    """
+    arrays: list[np.ndarray] = []
+    f = io.BytesIO()
+    pickler = ForkingPickler(f, 5)
+    pickler.dispatch_table[np.ndarray] = functools.partial(
+        _reduce_array, arrays, msg[4] if msg[0] == "env" else None)
+    pickler.dump(msg)
+    header = f.getvalue()
+    return [_PREFIX.pack(len(header), len(arrays)), header,
+            *[a.view(np.uint8) for a in arrays if a.nbytes]]
+
+
+def _vectored(call: Callable, fd: int, bufs: list) -> None:
+    """Run ``os.writev``/``os.readv`` over ``bufs`` until all are done.
+
+    Stream sockets transfer partially; a partly done buffer is resumed
+    through a memoryview slice.  ``bufs`` is consumed.
+    """
+    i = 0
+    while i < len(bufs):
+        n = call(fd, bufs[i:i + _IOV_MAX])
+        if n == 0:
+            raise EOFError("peer closed the pipe mid-frame")
+        while i < len(bufs) and n >= len(bufs[i]):
+            n -= len(bufs[i])
+            i += 1
+        if n:
+            bufs[i] = memoryview(bufs[i])[n:]
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """Read exactly ``n`` bytes (one ``os.read`` unless the data is split)."""
+    data = os.read(fd, n)
+    if len(data) == n:
+        return data
+    buf = bytearray(data)
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError("peer closed the pipe")
+        buf += chunk
+    return bytes(buf)
+
+
+def _recv_frame(fd: int) -> tuple:
+    """Read one frame: the header, then its arrays' bytes in place."""
+    n, arrays = _PREFIX.unpack(_read_exact(fd, _PREFIX.size))
+    header = _read_exact(fd, n)
+    if not arrays:
+        return pickle.loads(header)
+    unpickler = _FrameUnpickler(header)
+    msg = unpickler.load()
+    _vectored(os.readv, fd, unpickler.buffers)
+    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +276,10 @@ class _RemoteMailbox:
     """
 
     __slots__ = ("_transport", "_comm_id", "_dest_world")
+
+    #: the payload is on the wire before ``deposit`` returns, so the sender
+    #: skips its send-time snapshot
+    serializes_payload = True
 
     def __init__(self, transport: "_Transport", comm_id: Hashable,
                  dest_world: int):
@@ -226,9 +383,9 @@ class _PipeBarrier:
 class _Transport:
     """One rank's pipe endpoints plus the pump thread that drains them.
 
-    Sends are serialized per peer (``Connection.send`` is not thread-safe:
-    the rank's main thread and the pump thread — acks, barrier broadcasts —
-    both send).  Messages for communicators this rank has not locally
+    Frame writes are serialized per peer (the rank's main thread and the
+    pump thread — acks, barrier broadcasts — both send, and a frame is
+    several writes).  Messages for communicators this rank has not locally
     created yet are stashed under the registry lock and drained by
     ``get_or_create_comm``, preserving per-pair FIFO order.
     """
@@ -246,8 +403,9 @@ class _Transport:
     # -- sending -----------------------------------------------------------
 
     def send(self, world: int, msg: tuple) -> None:
+        frame = _encode(msg)
         with self._send_locks[world]:
-            self._conns[world].send(msg)
+            _vectored(os.writev, self._conns[world].fileno(), frame)
 
     def register_sync(self, env: Envelope) -> tuple:
         token = (self._my, next(self._sync_counter))
@@ -268,7 +426,7 @@ class _Transport:
         while conns:
             for conn in mp_connection.wait(conns):
                 try:
-                    msg = conn.recv()
+                    msg = _recv_frame(conn.fileno())
                 except (EOFError, OSError):
                     conns.remove(conn)
                     continue

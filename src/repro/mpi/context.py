@@ -178,16 +178,18 @@ class RawComm:
         else:
             arrival = clock.now + model.transfer_time(nbytes)
         auditor = self.machine.auditor
+        mailbox = self.state.mailboxes[dest]
         env = Envelope(
             source=self._rank,
             tag=tag,
-            payload=snapshot(payload),
+            payload=(payload if mailbox.serializes_payload
+                     else snapshot(payload)),
             nbytes=nbytes,
             arrival_time=arrival,
             sync_event=threading.Event() if sync else None,
             origin=auditor.origin() if auditor.enabled else (),
         )
-        self.state.mailboxes[dest].deposit(env)
+        mailbox.deposit(env)
         return env
 
     def _send(self, payload: Any, dest: int, tag: int, *, packed: bool = False) -> None:

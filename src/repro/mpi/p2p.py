@@ -90,6 +90,10 @@ class PendingRecv:
 class Mailbox:
     """Matching queues for one (communicator, rank) endpoint."""
 
+    #: whether ``deposit`` serializes the payload before it returns (a remote
+    #: mailbox does); the sender snapshots the payload only when it does not
+    serializes_payload = False
+
     def __init__(self, deadline_seconds: float = 120.0):
         self._cond = threading.Condition()
         self._posted: list[PendingRecv] = []
