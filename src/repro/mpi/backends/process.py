@@ -14,22 +14,25 @@ wildcard-free program produces bit-identical results, virtual times, PMPI
 counters, and traces on both backends (``tests/backends/`` enforces this).
 
 Wire protocol (one frame per message tuple, FIFO per pair).  A frame is a
-12-byte prefix — the header's length and how many arrays it names — then a
-pickle-protocol-5 *header* of the tuple, then the raw bytes of every plain
-``np.ndarray`` in it (any dtype without Python objects), in the order the
-header names them.  The header pickles each such array as an
-``_oob_array(dtype, shape, order)`` call; the sender writes the array's
-bytes straight from its memory with ``os.writev`` and the receiver's pump
-thread reads them straight into a freshly allocated array of that layout
-with ``os.readv`` (both POSIX calls).  A message without arrays is a single
-write, unpickled with plain ``pickle.loads``.  The whole header is pickled before the first
-byte is written, so a payload that cannot be pickled leaves the pair's
-stream untouched.  Because the bytes are on the wire before ``deposit``
-returns, a remote deposit needs no send-time snapshot
-(:attr:`_RemoteMailbox.serializes_payload`); the receiver still gets what
-the snapshot would have made: a writable array, C-ordered for an array
-payload, and with the C or Fortran order ``copy.deepcopy`` keeps for arrays
-nested in a container.  The tuples are:
+16-byte prefix (the byte lengths of the array table and of the header), then
+the *array table* — a pickled list of ``(dtype, shape, order)`` (a builtin
+dtype as its type string), one entry per plain ``np.ndarray`` in the tuple
+(any dtype without Python objects), empty when there is none — then a
+pickle-protocol-5 *header* of the tuple in which each such array is an
+out-of-band buffer (protocol 5's ``NEXT_BUFFER``), then the raw bytes of
+those arrays.  The sender writes the arrays' bytes straight from their
+memory with ``os.writev``; the receiver's pump thread allocates the arrays
+from the table, reads their bytes straight into them with ``os.readv`` (both
+POSIX calls), and only then unpickles the header with ``pickle.loads(header,
+buffers=arrays)`` — so a reconstructor or ``__setstate__`` that reads an
+array while unpickling (``np.random.RandomState``, say) sees its data.  The
+table and the header are pickled before the first byte is written, so a
+payload that cannot be pickled leaves the pair's stream untouched.  Because
+the bytes are on the wire before ``deposit`` returns, a remote deposit needs
+no send-time snapshot (:attr:`_RemoteMailbox.serializes_payload`); the
+receiver still gets what the snapshot would have made: a writable array,
+C-ordered for an array payload, and with the C or Fortran order
+``copy.deepcopy`` keeps for arrays nested in a container.  The tuples are:
 
 - ``("env", comm_id, source, tag, payload, nbytes, arrival_time, token)`` —
   a message envelope; ``token`` is non-``None`` for synchronous sends and is
@@ -65,7 +68,6 @@ spawn context, under which ``fn`` must be a module-level callable.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import multiprocessing
@@ -109,90 +111,109 @@ def unsupported(feature: str, what: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# framing: pickled header + out-of-band array bytes
+# framing: array table + pickled header + array bytes
 # ---------------------------------------------------------------------------
 
-#: frame prefix: byte length of the pickled header that follows it, and how
-#: many out-of-band arrays the header names (0: the frame is the header alone)
-_PREFIX = struct.Struct("<QI")
+#: frame prefix: byte lengths of the array table and of the pickled header
+#: (a table length of 0: the frame names no arrays)
+_PREFIX = struct.Struct("<QQ")
 #: most buffers one ``os.readv``/``os.writev`` call accepts (``IOV_MAX`` on
 #: Linux, macOS and the BSDs)
 _IOV_MAX = 1024
+#: pickles as protocol 5's NEXT_BUFFER opcode and nothing else: the loader
+#: takes the frame's next out-of-band buffer in its place
+_NEXT_BUFFER = pickle.PickleBuffer(bytearray())
 
 
-def _oob_array(dtype, shape, order):
-    """Header stand-in for an array whose bytes follow the header.
+def _in_band(buf: pickle.PickleBuffer) -> bool:
+    """Pickler ``buffer_callback``: only the array placeholder goes out of
+    band; a ``PickleBuffer`` some other type reduces to stays in-band."""
+    return buf is not _NEXT_BUFFER
 
-    Only :class:`_FrameUnpickler` can rebuild it: it resolves this name to
-    an allocator that also queues the new array for the bytes to land in.
+
+def _dtype_code(dtype: np.dtype):
+    """``dtype`` as the array table stores it: its type string when that
+    names this very dtype object (the builtin numeric ones), else the dtype
+    itself, whose pickle costs several times more."""
+    return dtype.str if np.dtype(dtype.str) is dtype else dtype
+
+
+def _oob_array(arr: np.ndarray) -> np.ndarray:
+    """Header entry of an out-of-band array.
+
+    ``arr`` is what the receiver passed ``pickle.loads`` as the frame's
+    next buffer: the array itself, allocated from the array table and
+    filled before the header is unpickled.
     """
-    raise pickle.UnpicklingError(
-        "out-of-band array outside a process-backend frame")
-
-
-def _reduce_array(arrays: list, top: Any, arr: np.ndarray):
-    """Header reduction of a plain array: its elements go to ``arrays``.
-
-    ``arrays`` collects, in header order, each array flattened in the order
-    it is delivered in (a view of its memory; a copy only when the array is
-    not contiguous in that order).  Delivered layouts match the send-time
-    snapshot: the envelope payload itself (``top``) arrives C-ordered like
-    ``ndarray.copy``; a nested array keeps its C or Fortran order like
-    ``copy.deepcopy``.  Arrays holding Python objects pickle in-band.
-    """
-    if arr.dtype.hasobject:
-        return arr.__reduce_ex__(5)
-    if arr is not top and not (arr.flags.c_contiguous
-                               or arr.flags.f_contiguous):
-        arr = arr.copy(order="K")  # the layout deepcopy gives a view
-    order = ("F" if arr is not top and arr.flags.f_contiguous
-             and not arr.flags.c_contiguous else "C")
-    arrays.append(arr.ravel(order))
-    return _oob_array, (arr.dtype, arr.shape, order)
-
-
-def _allocate(buffers: list, dtype, shape, order) -> np.ndarray:
-    arr = np.empty(shape, dtype, order)
-    if arr.nbytes:
-        buffers.append(arr.ravel(order).view(np.uint8))
     return arr
 
 
-class _FrameUnpickler(pickle.Unpickler):
-    """Unpickles a header, allocating each out-of-band array it names.
+class _Encoder:
+    """Pickles message tuples into frames for one peer.
 
-    ``buffers`` holds a writable byte view of every allocated array, in
-    header order, for the frame's trailing bytes to be read into.
+    One per peer, used under the peer's send lock.  It is reused because
+    building a pickler per message cost as much as pickling a small
+    envelope.  Nothing of a message outlives its ``encode`` call.
     """
 
-    def __init__(self, header: bytes):
-        super().__init__(io.BytesIO(header))
-        self.buffers: list[np.ndarray] = []
+    def __init__(self):
+        self._file = io.BytesIO()
+        # positional: ForkingPickler passes on no keyword arguments
+        # (True is fix_imports, _in_band the buffer_callback)
+        self._pickler = ForkingPickler(self._file, 5, True, _in_band)
+        # exact type only: ndarray subclasses pickle in-band
+        self._pickler.dispatch_table[np.ndarray] = self._reduce_array
+        self._top: Any = None
+        self._oob: list[tuple[np.ndarray, str]] = []
 
-    def find_class(self, module: str, name: str):
-        if module == __name__ and name == "_oob_array":
-            # not a bound method: the memo keeps the result, and a bound
-            # method would hold the arrays in a cycle until the next gc
-            return functools.partial(_allocate, self.buffers)
-        return super().find_class(module, name)
+    def _reduce_array(self, arr: np.ndarray):
+        """Header reduction of a plain array: it goes to ``_oob`` instead.
 
+        ``_oob`` collects, in header order, ``(array, order)`` pairs, the
+        array contiguous in the order it is delivered in (a copy only when
+        it is not).  Delivered layouts match the send-time snapshot: the
+        envelope payload itself (``_top``) arrives C-ordered like
+        ``ndarray.copy``; a nested array keeps its C or Fortran order like
+        ``copy.deepcopy``.  Arrays holding Python objects pickle in-band.
+        """
+        if arr.dtype.hasobject:
+            return arr.__reduce_ex__(5)
+        top = arr is self._top
+        if not top and not (arr.flags.c_contiguous
+                            or arr.flags.f_contiguous):
+            arr = arr.copy(order="K")  # the layout deepcopy gives a view
+        order = ("F" if not top and arr.flags.f_contiguous
+                 and not arr.flags.c_contiguous else "C")
+        self._oob.append((arr, order))
+        return _oob_array, (_NEXT_BUFFER,)
 
-def _encode(msg: tuple) -> list:
-    """Pickle ``msg`` into the buffers of one frame, ready to write.
+    def encode(self, msg: tuple) -> list:
+        """The buffers of ``msg``'s frame, ready to write.
 
-    Everything that can fail is done here, before any byte is written.
-    Plain arrays reduce through the pickler's own ``dispatch_table`` copy
-    (exact type only: subclasses pickle in-band).
-    """
-    arrays: list[np.ndarray] = []
-    f = io.BytesIO()
-    pickler = ForkingPickler(f, 5)
-    pickler.dispatch_table[np.ndarray] = functools.partial(
-        _reduce_array, arrays, msg[4] if msg[0] == "env" else None)
-    pickler.dump(msg)
-    header = f.getvalue()
-    return [_PREFIX.pack(len(header), len(arrays)), header,
-            *[a.view(np.uint8) for a in arrays if a.nbytes]]
+        Everything that can fail is done here, before any byte is written.
+        Subclasses pickle in-band, which keeps their order, so an envelope
+        payload of one that is not C-contiguous is first copied C-ordered,
+        as the send-time snapshot's ``ndarray.copy`` does.
+        """
+        top = msg[4] if msg[0] == "env" else None
+        if (isinstance(top, np.ndarray) and type(top) is not np.ndarray
+                and not top.flags.c_contiguous):
+            top = top.copy()
+            msg = msg[:4] + (top,) + msg[5:]
+        self._top = top
+        try:
+            self._pickler.dump(msg)
+            header = self._file.getvalue()
+        finally:
+            self._pickler.clear_memo()
+            self._file.seek(0)
+            self._file.truncate()
+            oob, self._oob, self._top = self._oob, [], None
+        table = (pickle.dumps([(_dtype_code(a.dtype), a.shape, order)
+                               for a, order in oob], 5) if oob else b"")
+        return [_PREFIX.pack(len(table), len(header)), table, header,
+                *[a.ravel(order).view(np.uint8)
+                  for a, order in oob if a.nbytes]]
 
 
 def _vectored(call: Callable, fd: int, bufs: list) -> None:
@@ -205,7 +226,7 @@ def _vectored(call: Callable, fd: int, bufs: list) -> None:
     while i < len(bufs):
         n = call(fd, bufs[i:i + _IOV_MAX])
         if n == 0:
-            raise EOFError("peer closed the pipe mid-frame")
+            raise EOFError("peer closed the pipe")
         while i < len(bufs) and n >= len(bufs[i]):
             n -= len(bufs[i])
             i += 1
@@ -213,30 +234,21 @@ def _vectored(call: Callable, fd: int, bufs: list) -> None:
             bufs[i] = memoryview(bufs[i])[n:]
 
 
-def _read_exact(fd: int, n: int) -> bytes:
-    """Read exactly ``n`` bytes (one ``os.read`` unless the data is split)."""
-    data = os.read(fd, n)
-    if len(data) == n:
-        return data
-    buf = bytearray(data)
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            raise EOFError("peer closed the pipe")
-        buf += chunk
-    return bytes(buf)
-
-
 def _recv_frame(fd: int) -> tuple:
-    """Read one frame: the header, then its arrays' bytes in place."""
-    n, arrays = _PREFIX.unpack(_read_exact(fd, _PREFIX.size))
-    header = _read_exact(fd, n)
-    if not arrays:
-        return pickle.loads(header)
-    unpickler = _FrameUnpickler(header)
-    msg = unpickler.load()
-    _vectored(os.readv, fd, unpickler.buffers)
-    return msg
+    """Read one frame: the table and header, the arrays' bytes straight
+    into arrays allocated from the table, and only then unpickle the
+    header, so every array it names is filled when reconstructors run."""
+    prefix = bytearray(_PREFIX.size)
+    _vectored(os.readv, fd, [prefix])
+    table_len, header_len = _PREFIX.unpack(prefix)
+    table, header = bytearray(table_len), bytearray(header_len)
+    _vectored(os.readv, fd, [table, header])
+    arrays = ([np.empty(shape, dtype, order)
+               for dtype, shape, order in pickle.loads(table)]
+              if table else [])
+    _vectored(os.readv, fd, [a.ravel("K").view(np.uint8)
+                             for a in arrays if a.nbytes])
+    return pickle.loads(header, buffers=arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +395,9 @@ class _PipeBarrier:
 class _Transport:
     """One rank's pipe endpoints plus the pump thread that drains them.
 
-    Frame writes are serialized per peer (the rank's main thread and the
-    pump thread — acks, barrier broadcasts — both send, and a frame is
-    several writes).  Messages for communicators this rank has not locally
+    Frames are encoded and written under one lock per peer (the rank's
+    main thread and the pump thread — acks, barrier broadcasts — both send,
+    a frame may take several writes, and the peer's encoder is reused).  Messages for communicators this rank has not locally
     created yet are stashed under the registry lock and drained by
     ``get_or_create_comm``, preserving per-pair FIFO order.
     """
@@ -394,6 +406,7 @@ class _Transport:
         self._my = my_rank
         self._conns = peer_conns
         self._send_locks = {w: threading.Lock() for w in peer_conns}
+        self._encoders = {w: _Encoder() for w in peer_conns}
         self._machine: Optional["_ProcessMachine"] = None
         self._stash: dict[Hashable, list[tuple]] = {}
         self._sync: dict[tuple, Envelope] = {}
@@ -403,8 +416,8 @@ class _Transport:
     # -- sending -----------------------------------------------------------
 
     def send(self, world: int, msg: tuple) -> None:
-        frame = _encode(msg)
         with self._send_locks[world]:
+            frame = self._encoders[world].encode(msg)
             _vectored(os.writev, self._conns[world].fileno(), frame)
 
     def register_sync(self, env: Envelope) -> tuple:

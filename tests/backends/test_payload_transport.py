@@ -7,7 +7,8 @@ change:
 
 - **layout parity** — dtype, shape, bytes, writeability and C/Fortran
   contiguity of every received payload are those the thread backend
-  delivers, for point-to-point and collective paths alike;
+  delivers, for point-to-point and collective paths alike, and objects
+  whose reconstructors read an array while unpickling arrive intact;
 - **buffered-send semantics** — mutating the send buffer right after
   ``send``/``isend``/``ssend`` returns never reaches the receiver;
 - **stream integrity** — a payload that cannot be pickled leaves no partial
@@ -16,6 +17,7 @@ change:
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import numpy as np
@@ -23,9 +25,34 @@ import pytest
 
 from repro.mpi import RawUsageError, run_mpi
 
-pytestmark = pytest.mark.slow
+pytestmark = [
+    pytest.mark.slow,
+    pytest.mark.filterwarnings("ignore:the matrix subclass"),
+]
 
 MIB = 2 ** 20
+
+
+class Rebuilt:
+    """Unpickled by a constructor that copies its array on arrival."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+
+    def __reduce__(self):
+        return Rebuilt, (self.values,)
+
+
+class Buffered:
+    """Pickles its bytes as a ``PickleBuffer`` under protocol 5."""
+
+    def __init__(self, data):
+        self.data = bytes(data)
+
+    def __reduce_ex__(self, protocol):
+        if protocol >= 5:
+            return Buffered, (pickle.PickleBuffer(self.data),)
+        return Buffered, (self.data,)
 
 
 def _payloads() -> dict:
@@ -42,11 +69,17 @@ def _payloads() -> dict:
         "structured": np.array([(1, 2.0), (3, 4.0)],
                                dtype=[("a", "<i4"), ("b", "<f8")]),
         "object": np.array([1, "x", None], dtype=object),
+        "big_endian": np.arange(4, dtype=">i4"),
         "bytearray": bytearray(b"abc"),
         "list": [fortran, strided, np.frombuffer(b"ab", dtype=np.uint8)],
         "tuple": (fortran, strided.T, np.float32(1.5)),
         "dict": {"f": fortran, "s": strided, "e": np.empty(0)},
         "aliased": [shared, shared, fortran],
+        "fortran_matrix": np.asmatrix(fortran),
+        "random_state": np.random.RandomState(0),
+        "rebuilt": Rebuilt(np.linspace(0.0, 1.0, 7)),
+        "nested_objects": [np.random.default_rng(1), Rebuilt(fortran)],
+        "pickle_buffer": [Buffered(b"xyz"), np.arange(3)],
     }
 
 
@@ -66,9 +99,17 @@ def layout(obj):
     """Everything a receiver can observe about a payload's memory."""
     if isinstance(obj, np.ndarray):
         data = (obj.tolist() if obj.dtype.hasobject else obj.tobytes())
-        return ("ndarray", str(obj.dtype), obj.shape, data,
+        return (type(obj).__name__, str(obj.dtype), obj.shape, data,
                 obj.flags.writeable, obj.flags.c_contiguous,
                 obj.flags.f_contiguous)
+    if isinstance(obj, np.random.RandomState):
+        return ("RandomState", obj.random_sample(4).tolist())
+    if isinstance(obj, np.random.Generator):
+        return ("Generator", obj.random(4).tolist())
+    if isinstance(obj, Rebuilt):
+        return ("Rebuilt", layout(obj.values))
+    if isinstance(obj, Buffered):
+        return ("Buffered", obj.data)
     if isinstance(obj, dict):
         return {k: layout(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
